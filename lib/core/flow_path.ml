@@ -431,13 +431,12 @@ let serpentine_seeds fpva =
     !candidates
   end
 
+(* Pressurised ports under valve states [states].  Compiled arcs carry the
+   valve id itself, so the states array is the open-valve predicate. *)
 let observation fpva states =
-  let open_edge e =
-    match Fpva.valve_id_opt fpva e with
-    | Some vid -> states.(vid)
-    | None -> true
-  in
-  Graph.pressurized_sinks fpva ~open_edge
+  let comp = Compiled.get fpva in
+  Graph.pressurized_sinks_c comp (Compiled.default_scratch comp)
+    ~open_valve:(fun v -> states.(v))
 
 (* The valves whose closure flips the observation: exactly the stuck-at-0
    faults this path's vector detects. *)
@@ -565,14 +564,7 @@ let sound fpva path =
   let nv = Fpva.num_valves fpva in
   let states = Array.make nv false in
   List.iter (fun v -> states.(v) <- true) path.valve_ids;
-  let sink_pressure states =
-    let open_edge e =
-      match Fpva.valve_id_opt fpva e with
-      | Some vid -> states.(vid)
-      | None -> true
-    in
-    (Graph.pressurized_sinks fpva ~open_edge).(path.sink)
-  in
+  let sink_pressure states = (observation fpva states).(path.sink) in
   sink_pressure states
   && List.for_all
        (fun v ->

@@ -26,4 +26,9 @@ val find :
 (** [find problem ~weight] is the best path found within budget, or [None]
     if no admissible path exists at all.  [weight] is indexed by edge id and
     must be non-negative.  A returned path always satisfies
-    [Problem.path_ok]. *)
+    [Problem.path_ok].
+
+    While tracing is on, each call bumps the {!Fpva_util.Trace} counters
+    [path_search.calls] and [path_search.steps] (expansions spent), and
+    [path_search.perfect] (a path of the total weight ended the search) or
+    [path_search.budget_exhausted] (the step budget ran out first). *)

@@ -96,7 +96,8 @@ let stage_report ~trusted_engine name stage_budget (stats : Cover.stats)
   }
 
 (* Stage spans reuse the duration already measured for the report, so the
-   trace agrees with the degradation summary to the digit. *)
+   trace agrees with the degradation summary to the digit.  Each is emitted
+   as soon as its stage ends, so the backdated start is the stage's own. *)
 let trace_stage r =
   if Trace.is_enabled () then begin
     let status, extra =
@@ -149,6 +150,7 @@ and run_validated config budget fpva =
     stage_report ~trusted_engine "flow" flow_budget flow_stats tp
       (List.length uncovered_flow)
   in
+  trace_stage flow_report;
   let cut_budget = Budget.share budget 0.6 in
   let cut_stats = Cover.fresh_stats () in
   let (cuts, pierced, uncovered_cut), tc =
@@ -215,6 +217,7 @@ and run_validated config budget fpva =
     stage_report ~trusted_engine "cut" cut_budget cut_stats tc
       (List.length uncovered_cut)
   in
+  trace_stage cut_report;
   let leak_budget = Budget.share budget 1.0 in
   let leak_stats = Cover.fresh_stats () in
   let (leak, untestable_pairs), tl =
@@ -229,6 +232,7 @@ and run_validated config budget fpva =
     stage_report ~trusted_engine "leak" leak_budget leak_stats tl
       (List.length untestable_pairs)
   in
+  trace_stage leak_report;
   let vectors =
     List.mapi
       (fun i p ->
@@ -255,7 +259,6 @@ and run_validated config budget fpva =
   if Trace.is_enabled () then begin
     Trace.incr runs_c;
     Trace.add vectors_c (List.length vectors);
-    List.iter trace_stage [ flow_report; cut_report; leak_report ];
     Trace.emit_span "pipeline.run" ~dur:(tp +. tc +. tl)
       ~tags:[ ("vectors", string_of_int (List.length vectors)) ]
   end;

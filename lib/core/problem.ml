@@ -2,7 +2,10 @@ type t = {
   name : string;
   num_nodes : int;
   num_edges : int;
-  adj : (int * int) list array;
+  off : int array;
+  nbr : int array;
+  eid : int array;
+  max_degree : int;
   edge_ends : (int * int) array;
   required : bool array;
   pair_constrained : bool array;
@@ -42,14 +45,36 @@ let build ~name ~num_nodes ~edges ~required ?pair_constrained ?terminal
     edges;
   Array.iter check_node starts;
   Array.iter check_node ends;
-  let adj = Array.make num_nodes [] in
+  (* CSR incidence: count degrees, prefix-sum them into slice offsets,
+     then fill each slice from its back while scanning edges in id order,
+     so every slice lists its edges by descending id. *)
+  let off = Array.make (num_nodes + 1) 0 in
+  Array.iter
+    (fun (a, b) ->
+      off.(a + 1) <- off.(a + 1) + 1;
+      off.(b + 1) <- off.(b + 1) + 1)
+    edges;
+  let max_degree = ref 0 in
+  for n = 0 to num_nodes - 1 do
+    max_degree := max !max_degree off.(n + 1);
+    off.(n + 1) <- off.(n + 1) + off.(n)
+  done;
+  let nbr = Array.make (2 * num_edges) 0 and eid = Array.make (2 * num_edges) 0 in
+  let cursor = Array.sub off 1 num_nodes in
+  let put n m e =
+    let k = cursor.(n) - 1 in
+    cursor.(n) <- k;
+    nbr.(k) <- m;
+    eid.(k) <- e
+  in
   Array.iteri
     (fun e (a, b) ->
-      adj.(a) <- (b, e) :: adj.(a);
-      adj.(b) <- (a, e) :: adj.(b))
+      put a b e;
+      put b a e)
     edges;
-  { name; num_nodes; num_edges; adj; edge_ends = edges; required;
-    pair_constrained; terminal; starts; ends; valid_pair }
+  { name; num_nodes; num_edges; off; nbr; eid; max_degree = !max_degree;
+    edge_ends = edges; required; pair_constrained; terminal; starts; ends;
+    valid_pair }
 
 let num_required t =
   Array.fold_left (fun acc r -> if r then acc + 1 else acc) 0 t.required

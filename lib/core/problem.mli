@@ -14,8 +14,15 @@ type t = private {
   name : string;
   num_nodes : int;
   num_edges : int;
-  adj : (int * int) list array;
-      (** per node: [(neighbour, edge-id)]; symmetric *)
+  off : int array;
+      (** CSR slice offsets, [num_nodes + 1] entries: node [n]'s incident
+          edges occupy slots [off.(n)] to [off.(n+1) - 1] of [nbr]/[eid] *)
+  nbr : int array;  (** per slot: the neighbour across the edge *)
+  eid : int array;
+      (** per slot: the edge id; each slice lists its edges by descending
+          id (the order {!Path_search}'s random draws follow), and every
+          edge appears once in each endpoint's slice *)
+  max_degree : int;  (** the longest slice (0 without edges) *)
   edge_ends : (int * int) array;  (** canonical endpoints of each edge *)
   required : bool array;  (** edges that must be covered across all paths *)
   pair_constrained : bool array;

@@ -29,6 +29,55 @@ let diamond_problem ?pair_constrained () =
   Problem.build ~name:"diamond" ~num_nodes:6 ~edges ~required
     ?pair_constrained ~terminal ~starts:[| 0 |] ~ends:[| 5 |] ()
 
+(* CSR incidence of a hand-built instance:
+     0 --e0-- 1
+      \       |
+       e2     e1        4 (isolated)
+         \    |
+           2 --e3-- 3                                                   *)
+let hand_built () =
+  Problem.build ~name:"csr" ~num_nodes:5
+    ~edges:[| (0, 1); (1, 2); (0, 2); (2, 3) |]
+    ~required:(Array.make 4 true) ~starts:[| 0 |] ~ends:[| 3 |] ()
+
+let ints = Alcotest.(array int)
+
+let slice (p : Problem.t) a n =
+  Array.sub a p.Problem.off.(n) (p.Problem.off.(n + 1) - p.Problem.off.(n))
+
+let csr_tests =
+  [
+    case "CSR arrays of a hand-built instance" (fun () ->
+        let p = hand_built () in
+        check ints "off" [| 0; 2; 4; 7; 8; 8 |] p.Problem.off;
+        check ints "nbr" [| 2; 1; 2; 0; 3; 0; 1; 2 |] p.Problem.nbr;
+        check ints "eid" [| 2; 0; 1; 0; 3; 2; 1; 3 |] p.Problem.eid;
+        checki "max degree" 3 p.Problem.max_degree);
+    case "CSR slices list edges by descending id" (fun () ->
+        let p = hand_built () in
+        List.iter
+          (fun (n, nbr, eid) ->
+            check ints (Printf.sprintf "node %d neighbours" n) nbr
+              (slice p p.Problem.nbr n);
+            check ints (Printf.sprintf "node %d edges" n) eid
+              (slice p p.Problem.eid n))
+          [
+            (0, [| 2; 1 |], [| 2; 0 |]);
+            (1, [| 2; 0 |], [| 1; 0 |]);
+            (2, [| 3; 0; 1 |], [| 3; 2; 1 |]);
+            (3, [| 2 |], [| 3 |]);
+            (4, [||], [||]);
+          ]);
+    case "CSR of an edgeless instance" (fun () ->
+        let p =
+          Problem.build ~name:"empty" ~num_nodes:3 ~edges:[||] ~required:[||]
+            ~starts:[| 0 |] ~ends:[| 2 |] ()
+        in
+        check ints "off" [| 0; 0; 0; 0 |] p.Problem.off;
+        check ints "nbr" [||] p.Problem.nbr;
+        checki "max degree" 0 p.Problem.max_degree);
+  ]
+
 let problem_tests =
   [
     case "build rejects inconsistent sizes" (fun () ->
@@ -36,7 +85,28 @@ let problem_tests =
           (Invalid_argument "Problem.build: required size") (fun () ->
             ignore
               (Problem.build ~name:"x" ~num_nodes:2 ~edges:[| (0, 1) |]
-                 ~required:[||] ~starts:[| 0 |] ~ends:[| 1 |] ())));
+                 ~required:[||] ~starts:[| 0 |] ~ends:[| 1 |] ()));
+        Alcotest.check_raises "pair_constrained size"
+          (Invalid_argument "Problem.build: pair_constrained size") (fun () ->
+            ignore
+              (Problem.build ~name:"x" ~num_nodes:2 ~edges:[| (0, 1) |]
+                 ~required:[| true |] ~pair_constrained:[||] ~starts:[| 0 |]
+                 ~ends:[| 1 |] ()));
+        Alcotest.check_raises "terminal size"
+          (Invalid_argument "Problem.build: terminal size") (fun () ->
+            ignore
+              (Problem.build ~name:"x" ~num_nodes:2 ~edges:[| (0, 1) |]
+                 ~required:[| true |] ~terminal:[| true |] ~starts:[| 0 |]
+                 ~ends:[| 1 |] ())));
+    case "build rejects out-of-range node ids" (fun () ->
+        let build ~edges ~starts =
+          Problem.build ~name:"x" ~num_nodes:2 ~edges ~required:[| true |]
+            ~starts ~ends:[| 1 |] ()
+        in
+        Alcotest.check_raises "edge end" (Invalid_argument "Problem.build: node id")
+          (fun () -> ignore (build ~edges:[| (0, 2) |] ~starts:[| 0 |]));
+        Alcotest.check_raises "start" (Invalid_argument "Problem.build: node id")
+          (fun () -> ignore (build ~edges:[| (0, 1) |] ~starts:[| -1 |])));
     case "build rejects self loops" (fun () ->
         Alcotest.check_raises "self loop"
           (Invalid_argument "Problem.build: self loop") (fun () ->
@@ -321,4 +391,4 @@ let cover_tests =
              outcome.Cover.uncovered);
   ]
 
-let tests = problem_tests @ search_tests @ ilp_tests @ cover_tests
+let tests = problem_tests @ csr_tests @ search_tests @ ilp_tests @ cover_tests

@@ -241,6 +241,50 @@ let coverage_tests =
           (List.for_all
              (fun e -> List.mem_assoc "status" e.Trace.tags)
              stages));
+    case "stage spans are ordered and do not overlap" (fun () ->
+        let sink, events = Trace.collector () in
+        ignore
+          (with_tracing ~sinks:[ sink ] (fun () ->
+               Pipeline.run_exn (Layouts.paper_array 5)));
+        let stages =
+          List.filter (fun e -> e.Trace.name = "pipeline.stage") (events ())
+        in
+        checki "three stages" 3 (List.length stages);
+        (* Spans carry start and duration as separately rounded floats, so
+           an end may exceed the true instant by a few ulps. *)
+        let rec ordered = function
+          | a :: (b :: _ as rest) ->
+            checkb
+              (Printf.sprintf "%s ends (%.9f) before %s starts (%.9f)"
+                 (List.assoc "stage" a.Trace.tags)
+                 (a.Trace.ts +. a.Trace.dur)
+                 (List.assoc "stage" b.Trace.tags)
+                 b.Trace.ts)
+              true
+              (a.Trace.ts +. a.Trace.dur <= b.Trace.ts +. 1e-9);
+            ordered rest
+          | [ _ ] | [] -> ()
+        in
+        ordered stages);
+    case "search counters fill and tracing leaves the suite unchanged"
+      (fun () ->
+        let suite () =
+          let t = Layouts.paper_array 5 in
+          Suite_io.to_string t (Pipeline.run_exn t).Pipeline.vectors
+        in
+        let off = suite () in
+        let on = with_tracing suite in
+        checkb "suites identical" true (off = on);
+        let calls = count_of "path_search.calls" in
+        checkb "calls counted" true (calls > 0);
+        checkb "steps counted" true (count_of "path_search.steps" > 0);
+        checkb "budget exhaustion counted" true
+          (count_of "path_search.budget_exhausted" > 0);
+        checkb "perfect hits counted" true (count_of "path_search.perfect" > 0);
+        checkb "outcomes within calls" true
+          (count_of "path_search.budget_exhausted"
+           + count_of "path_search.perfect"
+           <= calls));
     case "traced sharded campaign matches its untraced twin" (fun () ->
         let t = Layouts.paper_array 5 in
         let suite = Pipeline.run_exn t in

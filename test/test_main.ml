@@ -14,6 +14,7 @@ let () =
       ("grid", Suite_grid.tests);
       ("compiled", Suite_compiled.tests);
       ("pathgen", Suite_pathgen.tests);
+      ("search", Suite_search.tests);
       ("flow", Suite_flow.tests);
       ("cut", Suite_cut.tests);
       ("hierarchy", Suite_hierarchy.tests);
