@@ -12,7 +12,7 @@ open Fpva_grid
 open Fpva_testgen
 module Rng = Fpva_util.Rng
 
-let params ?(step_budget = 20_000) seed = { Path_search.step_budget; seed }
+let search_params ?(step_budget = 20_000) seed = { Path_search.step_budget; seed }
 
 let agrees name (p : Problem.t) ~params ~weight =
   let got = Path_search.find ~params p ~weight in
@@ -59,7 +59,7 @@ let segment_instances fpva =
   let log = ref [] in
   let find (p : Problem.t) ~weight =
     if p.Problem.name = "segment" then log := (p, Array.copy weight) :: !log;
-    Path_search.find ~params:(params 0x5eed) p ~weight
+    Path_search.find ~params:(search_params 0x5eed) p ~weight
   in
   let options =
     { Hierarchy.default_options with
@@ -72,8 +72,8 @@ let segment_instances fpva =
    weight, then under two other seeds and weight profiles at a tenth of it. *)
 let gate name (p, weight) =
   agrees name p ~params:Path_search.default_params ~weight;
-  agrees name p ~params:(params 17) ~weight:(required_weight p);
-  agrees name p ~params:(params 104729) ~weight:(tied_weight p 7)
+  agrees name p ~params:(search_params 17) ~weight:(required_weight p);
+  agrees name p ~params:(search_params 104729) ~weight:(tied_weight p 7)
 
 let differential name layout =
   slow_case (Printf.sprintf "CSR engine matches the list engine on %s" name)
@@ -118,7 +118,7 @@ let random_instances_agree =
       in
       let check_instance (p : Problem.t) =
         let params =
-          params ~step_budget:(1 + Rng.int rng 4_000) (Rng.int rng 1_000_000)
+          search_params ~step_budget:(1 + Rng.int rng 4_000) (Rng.int rng 1_000_000)
         in
         let weight = random_weight p in
         Path_search.find ~params p ~weight
